@@ -6,10 +6,11 @@ polled by every rank) at a ladder of rank counts through both engines,
 and records wall time, events processed and events/s for each.  The
 headline acceptance number is the wall-time speedup at >= 10^4 ranks.
 
-The scalar engine's cost grows with *rank-events* (every poll is two
-heap-scheduled generator resumes), the cohort engine's with
-*macro-events* plus O(1)-amortised deferred poll realisations — the
-curve makes that separation visible as data.
+The scalar engine's cost grows with *rank-events* (every lock
+acquisition, window access and chunk is a heap-scheduled generator
+resume; failed polls are parked and realised in bulk), the cohort
+engine's with *macro-events* plus O(1)-amortised deferred poll
+realisations — the curve makes that separation visible as data.
 
 Usage::
 

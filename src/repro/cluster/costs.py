@@ -92,6 +92,15 @@ class MpiCosts:
     #: per-stage cost of log-tree collectives (barrier/bcast/reduce)
     collective_stage: float = 0.7e-6
 
+    def __post_init__(self) -> None:
+        # A poll retry must move time forward: with a zero interval the
+        # deterministic poll chains of different ranks tie exactly, and
+        # the order of tied polls is no longer defined by the model.
+        if not self.shm_poll_interval > 0.0:
+            raise ValueError(
+                f"shm_poll_interval must be > 0 seconds, got {self.shm_poll_interval!r}"
+            )
+
     def tier_load_penalty(self, tier: int) -> float:
         """Per-access load/store penalty for a :class:`~repro.cluster.interconnect.Tier`.
 

@@ -544,6 +544,11 @@ def _fault_injector(run: _Run, world: MpiWorld, recover):
             now = time
         if kind == 0:
             process = world.contexts[rank].process
+            if process is not None and process.alive:
+                # parked lock pollers: settle them up to the crash and
+                # turn them back into real attempts (lease breaks)
+                for window in world.shared_windows.values():
+                    window.crash_stop(process)
             if process is not None and run.sim.kill(process):
                 run.dead_ranks.add(rank)
                 run.fault_counters["failures_injected"] += 1

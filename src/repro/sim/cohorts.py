@@ -70,44 +70,6 @@ from repro.sim.engine import CohortLane
 __all__ = ["cohort_blockers", "execute_cohort"]
 
 
-#: batch size for pre-drawn lock-poll jitter factors.  Batched
-#: ``Generator.uniform`` draws are bit-identical to the same number of
-#: sequential scalar draws (pinned by the property suite), so buffering
-#: only amortises RNG call overhead — it cannot change a single value.
-_JITTER_BATCH = 256
-
-
-class _JitterBuffer:
-    """Batched view of one shared window's lock-poll jitter stream.
-
-    Draws ``uniform(0.5, 1.5)`` factors in blocks and hands them out
-    one at a time, preserving the exact values (and generator state) of
-    sequential scalar draws.
-    """
-
-    __slots__ = ("_rng", "_buf", "_idx")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        #: starts empty (not None) so exhaustion is always an IndexError
-        self._buf: list = []
-        self._idx = 0
-
-    def next(self) -> float:
-        """The next jitter factor, bit-identical to a scalar draw."""
-        buf = self._buf
-        if self._idx >= len(buf):
-            # ``tolist`` converts to native floats (exact doubles) so
-            # the hot loop never pays np.float64 arithmetic.
-            buf = self._buf = self._rng.uniform(
-                0.5, 1.5, size=_JITTER_BATCH
-            ).tolist()
-            self._idx = 0
-        value = buf[self._idx]
-        self._idx += 1
-        return value
-
-
 class _Rank:
     """Per-rank accumulator mirroring :class:`repro.sim.engine.Process`.
 
@@ -194,10 +156,12 @@ class _NodeLock:
 
     __slots__ = ("key", "shm", "jitter", "heap", "holder", "version", "check_time")
 
-    def __init__(self, key, shm, jitter: _JitterBuffer):
+    def __init__(self, key, shm):
         self.key = key
         self.shm = shm
-        self.jitter = jitter
+        #: the window's own batched jitter stream (shared with the
+        #: scalar path's parked pollers)
+        self.jitter = shm.jitter
         self.heap: List[Tuple[float, Any]] = []
         self.holder: Optional[_Rank] = None
         #: invalidates superseded CHECK macros (lazy cancellation)
@@ -280,8 +244,6 @@ def cohort_blockers(model, run) -> List[str]:
         blockers.append("non-zero locality-tier penalty knobs")
     if not mpi.shm_lock_attempt > mpi.shm_unlock:
         blockers.append("shm_lock_attempt <= shm_unlock (tie-break unpinned)")
-    if mpi.shm_poll_interval < 0.0:
-        blockers.append("negative shm_poll_interval (poll steps must advance)")
     return blockers
 
 
@@ -585,7 +547,7 @@ def _run_depth2(model, run) -> None:
     profiles: Dict[int, Tuple[float, float, bool]] = {}
     for node in range(n_nodes):
         shm = local_queues[node].shm
-        locks[node] = _NodeLock(node, shm, _JitterBuffer(shm._rng))
+        locks[node] = _NodeLock(node, shm)
         profiles[node] = _atomic_profile(world, 0, node * run.ppn)
     finish: Dict[int, float] = {}
     chunks: Dict[int, int] = {}
@@ -627,9 +589,7 @@ def _run_depth2(model, run) -> None:
                 try:
                     wait = POLL * buf[idx]
                 except IndexError:
-                    buf = jitter._buf = jitter._rng.uniform(
-                        0.5, 1.5, size=_JITTER_BATCH
-                    ).tolist()
+                    buf = jitter._refill()
                     idx = 0
                     wait = POLL * buf[0]
                 idx += 1

@@ -19,11 +19,14 @@ Every paper artifact replays millions of events through this loop, so
   hoisted into locals, and the dominant pop-then-push pair is fused
   into a single ``heapreplace`` (the current event is *peeked* and
   lazily replaced by the process's next resume, halving sift work);
-* zero-delay resumes — spawn kick-offs, event triggers, lock hand-offs,
-  the poll loops behind ``SharedWindow.lock`` — go through a FIFO
-  *ready* deque instead of the heap (O(1) instead of O(log n)); the
-  deque is merged with the heap in exact ``(time, seq)`` order, so
-  execution order is bit-identical to the pure-heap engine.
+* zero-delay resumes — spawn kick-offs, event triggers, lock
+  hand-offs — go through a FIFO *ready* deque instead of the heap
+  (O(1) instead of O(log n)); the deque is merged with the heap in
+  exact ``(time, seq)`` order, so execution order is bit-identical to
+  the pure-heap engine;
+* failed lock polls never reach this loop: ``SharedWindow.lock`` parks
+  the poller and realises its retries in bulk at unlock, waking only
+  the next contender through :meth:`Simulator.schedule_at`.
 
 The lazy-root invariant: while a heap-sourced event is being
 interpreted, its entry remains the heap root.  Every resume scheduled
@@ -251,6 +254,10 @@ class Simulator:
         self._halted: Optional[str] = None
         self.trace = trace
         self.n_events_processed = 0
+        #: objects that park blocked processes outside the queues (the
+        #: shared windows' lock pollers); each exposes ``name`` and
+        #: ``n_parked`` so :func:`drain` can say who is stuck where
+        self.parking_lots: List[Any] = []
 
     # ------------------------------------------------------------------
     # public API
@@ -295,6 +302,20 @@ class Simulator:
         # order (not creation order) defines execution order at t=now.
         self._schedule_resume(process, None)
         return process
+
+    def schedule_at(self, process: Process, time: float) -> None:
+        """Resume ``process`` (with ``None``) at absolute time ``time``.
+
+        For layers that park a process outside the queues and compute
+        its resume time themselves: the entry lands at exactly ``time``
+        instead of ``now + (time - now)``, which could round
+        differently.  ``time`` must not lie in the past.
+        """
+        if time < self.now:
+            raise ValueError(
+                f"schedule_at({process.name!r}, {time!r}) is before now={self.now!r}"
+            )
+        heapq.heappush(self._heap, (time, next(self._seq), process, None))
 
     def kill(self, process: Process) -> bool:
         """Crash-stop ``process`` at the current simulated time.
@@ -739,12 +760,21 @@ def drain(
     """Run the simulator until every given process has terminated.
 
     ``max_sim_time`` arms the engine watchdog (see
-    :class:`SimulationTimeout`).
+    :class:`SimulationTimeout`).  A deadlock error names every parking
+    lot (e.g. a shared window that was never unlocked) still holding
+    parked processes, and how many.
     """
     sim.run(max_sim_time=max_sim_time)
     pending = [p for p in processes if p.alive]
     if pending:
         names = ", ".join(p.name for p in pending[:8])
+        parked = [
+            f"{lot.name} still has {lot.n_parked} rank(s) parked"
+            for lot in sim.parking_lots
+            if lot.n_parked
+        ]
+        where = f"; {'; '.join(parked)}" if parked else ""
         raise RuntimeError(
-            f"simulation deadlock: {len(pending)} processes still alive ({names})"
+            f"simulation deadlock: {len(pending)} processes still alive "
+            f"({names}){where}"
         )

@@ -15,19 +15,116 @@ grows with the number of simultaneous requesters.  This is why fine
 grained intra-node techniques (``X+SS``) perform poorly under the
 MPI+MPI approach while coarse ones are unaffected.
 
+Failed pollers are *parked*, not stepped poll by poll.  A rank whose
+attempt fails pushes itself onto the window's heap of parked pollers
+and blocks on a gate the engine never reschedules.  While the lock is
+held every later attempt of a parked rank fails too, so its polls need
+no engine events: the window steps them itself, in per-window
+chronological order, when :meth:`SharedWindow.unlock` releases the lock
+(and before any locality-penalty charge, so the window's penalty sum
+accrues in event order).  A step either draws the poll wait from the
+window's own jitter stream or issues the next attempt, accruing poll
+wait, attempt overhead and penalty exactly as a per-poll loop would.
+Only the pollers that may try first after a release are woken, through
+:meth:`~repro.sim.engine.Simulator.schedule_at` at their absolute
+next-step time; one that loses the race parks again.  Jitter draws,
+every float sum and ``n_events`` (each realised step counts the engine
+event a per-poll loop would have taken) are bit-identical to stepping
+every poll.  A crash-stop (:meth:`SharedWindow.crash_stop`) realises the
+window's polls up to the crash, drops the victim and wakes every other
+parked rank, so the lease-break branch of :meth:`SharedWindow.lock`
+runs on real attempts.
+
 The window tracks contention statistics (attempts, acquisitions, poll
 wait time) that the benchmarks report and the ablation sweeps.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+import heapq
+from itertools import count
+from math import inf as _INF
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.sim.primitives import Overhead, OverheadOnce
+import numpy as np
+
+from repro.sim.primitives import Overhead, OverheadOnce, SimEvent
 from repro.sim.resources import Lock
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.engine import Process
     from repro.smpi.world import MpiWorld, RankCtx
+
+
+#: batch size for pre-drawn lock-poll jitter factors.  Batched
+#: ``Generator.uniform`` draws are bit-identical to the same number of
+#: sequential scalar draws (pinned by the shm test suite), so buffering
+#: only amortises RNG call overhead — it cannot change a single value.
+_JITTER_BATCH = 256
+
+
+class _JitterBuffer:
+    """Batched view of one shared window's lock-poll jitter stream.
+
+    Draws ``uniform(0.5, 1.5)`` factors in blocks; consumers read
+    ``_buf[_idx]`` inline and call :meth:`_refill` on exhaustion.  The
+    values (and generator state) equal sequential scalar draws.
+    """
+
+    __slots__ = ("_rng", "_buf", "_idx")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        #: starts empty (not None) so exhaustion is always an IndexError
+        self._buf: list = []
+        self._idx = 0
+
+    def _refill(self) -> list:
+        """Draw the next block and rewind; returns the new buffer."""
+        # ``tolist`` converts to native floats (exact doubles) so hot
+        # loops never pay np.float64 arithmetic.
+        buf = self._buf = self._rng.uniform(0.5, 1.5, size=_JITTER_BATCH).tolist()
+        self._idx = 0
+        return buf
+
+
+class _PollGate(SimEvent):
+    """What a parked poller yields: an event that is never triggered.
+
+    The engine hands the blocked process to :meth:`add_waiter`, which
+    records it for the window; the window later resumes it directly
+    with :meth:`~repro.sim.engine.Simulator.schedule_at`.  One gate
+    serves a whole ``lock()`` call and counts the failed attempts
+    realised on its behalf.
+    """
+
+    __slots__ = (
+        "process", "cost", "penalty", "attempts", "waiting", "issued_at",
+        "before_issue",
+    )
+
+    def __init__(self, sim: Any, cost: float, penalty: float):
+        super().__init__(sim, name="shm-poll")
+        self.process: Optional["Process"] = None
+        #: seconds per lock-attempt message (base cost + penalty)
+        self.cost = cost
+        #: the locality-penalty share of ``cost``
+        self.penalty = penalty
+        #: attempts issued while parked (realised by the window)
+        self.attempts = 0
+        #: phase of the parked entry: True while its poll wait runs
+        #: (the key is the wait's end, when the next attempt is
+        #: issued), False while an attempt is in flight (the key is its
+        #: landing, where it fails against the held lock)
+        self.waiting = False
+        #: when the in-flight attempt is (or was) issued, and the
+        #: poller's overhead seconds just before it
+        self.issued_at = 0.0
+        self.before_issue = 0.0
+
+    def add_waiter(self, process: "Process") -> None:
+        """Record the parked process; nothing ever triggers the gate."""
+        self.process = process
 
 
 class SharedWindow:
@@ -65,8 +162,17 @@ class SharedWindow:
             if not isinstance(node, tuple)
             else "-".join(str(part) for part in node)
         )
+        self.sim = world.sim
         self._lock = Lock(world.sim, name=f"shmwin@node{tag}")
-        self._rng = world.sim.rng(f"shm-lockpoll.node{tag}")
+        #: batched lock-poll jitter, shared by every poller of the window
+        self.jitter = _JitterBuffer(world.sim.rng(f"shm-lockpoll.node{tag}"))
+        #: parked pollers: ``(time, park_order, gate)``, ``time`` being
+        #: the poller's next step (see :attr:`_PollGate.waiting`)
+        self._parked: List[Tuple[float, int, _PollGate]] = []
+        self._park_order = count()
+        #: gates of woken pollers whose resume is still pending
+        self._awake: Dict["Process", _PollGate] = {}
+        world.sim.parking_lots.append(self)
         #: rank whose NUMA domain physically hosts the window's pages.
         #: Default: the lowest rank of the tier group the key names
         #: (first-touch allocation by the group leader); a placement
@@ -137,22 +243,22 @@ class SharedWindow:
         Each attempt costs one lock-attempt message; failed attempts
         retry after ``shm_poll_interval`` (jittered +-50% so pollers do
         not stay phase-locked forever).  Polling time is accounted as
-        *overhead* — the CPU is busy re-issuing attempts.
+        *overhead* — the CPU is busy re-issuing attempts.  A failed
+        poller parks on the window until an unlock realises its retries
+        (see the module docstring).
         """
-        mpi = self.world.costs.mpi
         owner = f"rank{ctx.rank}"
         # each lock-attempt message travels to the window's home NUMA
         # domain, so remote-NUMA/cross-socket requesters pay the tier
         # penalty per attempt (zero with default knobs)
         atomic_penalty = self._penalty_of(ctx)[1]
-        attempt_cost = mpi.shm_lock_attempt + atomic_penalty
-        attempts = 0
-        while True:
-            attempts += 1
-            self.total_penalty_s += atomic_penalty
-            yield Overhead(attempt_cost)
-            if self._lock.try_acquire(owner):
-                break
+        attempt_cost = self.world.costs.mpi.shm_lock_attempt + atomic_penalty
+        attempts = 1
+        if atomic_penalty:
+            self._charge(atomic_penalty)
+        yield Overhead(attempt_cost)
+        gate = None
+        while not self._lock.try_acquire(owner):
             faults = self.world.faults
             if faults is not None and self._owner_is_dead():
                 # Lease break: the exclusive lock is held by a rank that
@@ -165,10 +271,27 @@ class SharedWindow:
                 if self._owner_is_dead():
                     self._lock.force_release()
                     self.n_leases_broken += 1
+                attempts += 1
+                if atomic_penalty:
+                    self._charge(atomic_penalty)
+                yield Overhead(attempt_cost)
                 continue
-            wait = mpi.shm_poll_interval * float(self._rng.uniform(0.5, 1.5))
-            self.total_poll_wait += wait
-            yield OverheadOnce(wait)  # jittered: unique per retry, skip interning
+            if gate is None:
+                gate = _PollGate(self.sim, attempt_cost, atomic_penalty)
+            gate.waiting = False
+            heapq.heappush(
+                self._parked, (self.sim.now, next(self._park_order), gate)
+            )
+            yield gate
+            del self._awake[gate.process]
+            if gate.waiting:
+                # woken as a poll wait ends: issue the next attempt
+                attempts += 1
+                if atomic_penalty:
+                    self._charge(atomic_penalty)
+                yield Overhead(attempt_cost)
+        if gate is not None:
+            attempts += gate.attempts
         self.n_attempts += attempts
         self.n_acquisitions += 1
         self.max_attempts_per_acquire = max(self.max_attempts_per_acquire, attempts)
@@ -177,9 +300,171 @@ class SharedWindow:
         """``MPI_Win_unlock`` (epoch close: one more message home)."""
         self._require_held(ctx)
         penalty = self._penalty_of(ctx)[1]
-        self.total_penalty_s += penalty
+        if penalty:
+            self._charge(penalty)
         yield Overhead(self.world.costs.mpi.shm_unlock + penalty)
         self._lock.release()
+        if self._parked:
+            self._wake_first()
+
+    def crash_stop(self, victim: "Process") -> None:
+        """Settle the parked pollers before ``victim`` crash-stops now.
+
+        Realises every parked poll step due by the crash (the victim's
+        included: it was polling until now), drops the victim's entry
+        and wakes every other parked rank at its next step, so the polls
+        after the crash run as real events — the lease-break branch of
+        :meth:`lock` needs them when the victim holds the lock.  Call it
+        *before* killing the victim.
+        """
+        parked = self._parked
+        if not parked and not self._awake:
+            return
+        now = self.sim.now
+        self._realise(now)
+        # the victim may be parked, or woken but not yet resumed
+        victim_gate = self._awake.pop(victim, None)
+        entries = sorted(parked)
+        parked.clear()
+        for time, _order, gate in entries:
+            if gate.process is victim:
+                victim_gate = gate
+            elif gate.process.alive:
+                self._wake(gate, time)
+        if (
+            victim_gate is not None
+            and not victim_gate.waiting
+            and victim_gate.issued_at > now
+        ):
+            # the attempt issued ahead of time never happens
+            victim.overhead_time = victim_gate.before_issue
+            victim_gate.attempts -= 1
+            if victim_gate.cost > 0.0:
+                self.sim.n_events_processed -= 1
+
+    @property
+    def n_parked(self) -> int:
+        """Live ranks currently parked on this window's lock."""
+        return sum(1 for _, _, gate in self._parked if gate.process.alive)
+
+    @property
+    def name(self) -> str:
+        """The window's lock name (``shmwin@node<key>``), for diagnostics."""
+        return self._lock.name
+
+    def _charge(self, penalty: float) -> None:
+        """Add a non-zero locality penalty charged now to
+        :attr:`total_penalty_s` (zero charges are skipped: exact no-ops).
+
+        Parked pollers' attempt penalties are realised late, so the
+        charge first realises every poll step due by now: the float sum
+        then accrues in the same order as stepping each poll.
+        """
+        if self._parked:
+            self._realise(self.sim.now)
+        self.total_penalty_s += penalty
+
+    def _wake(self, gate: _PollGate, time: float) -> None:
+        """Resume a parked poller at its next (already counted) step."""
+        self.sim.schedule_at(gate.process, time)
+        self._awake[gate.process] = gate
+        # the step's event was counted when it was realised; the real
+        # resume counts it again
+        self.sim.n_events_processed -= 1
+
+    def _wake_first(self) -> None:
+        """After a release: realise the polls due by now, then wake the
+        pollers that may try first.
+
+        The earliest entry is woken; an entry still in its poll wait
+        only tries one attempt message later, so every entry due before
+        the earliest try is woken too.  The rest stay parked: they fail
+        against whoever acquires and are realised at its unlock.
+        """
+        sim = self.sim
+        self._realise(sim.now)
+        parked = self._parked
+        first_try = _INF
+        woken = 0
+        while parked and parked[0][0] <= first_try:
+            time, _order, gate = heapq.heappop(parked)
+            process = gate.process
+            if not process.alive:
+                continue
+            tries_at = time + gate.cost if gate.waiting else time
+            if tries_at < first_try:
+                first_try = tries_at
+            # _wake, inlined: this runs at every contended unlock
+            sim.schedule_at(process, time)
+            self._awake[process] = gate
+            woken += 1
+        sim.n_events_processed -= woken
+
+    def _realise(self, until: float) -> None:
+        """Realise every parked poll step due by ``until``.
+
+        Heap order is the per-window chronological order in which the
+        per-poll loop stepped, so jitter draws, the window's sums and
+        each rank's overhead accrue in exactly its order.  A landed
+        attempt fails against the held lock and draws its poll wait; an
+        ended wait issues the next attempt.  Each step counts the event
+        the per-poll loop resumed for it: the end of the wait, and the
+        attempt's landing when attempt messages take time (zero-length
+        delays resume inline).
+        """
+        parked = self._parked
+        poll = self.world.costs.mpi.shm_poll_interval
+        jitter = self.jitter
+        buf, idx = jitter._buf, jitter._idx
+        replace = heapq.heapreplace
+        poll_wait = self.total_poll_wait
+        events = 0
+        while parked:
+            time, order, gate = parked[0]
+            if time > until:
+                break
+            process = gate.process
+            if not process.alive:
+                heapq.heappop(parked)
+                continue
+            if gate.waiting:
+                self.total_penalty_s += gate.penalty
+            else:
+                # the attempt failed: draw and charge the poll wait
+                try:
+                    wait = poll * buf[idx]
+                except IndexError:
+                    buf = jitter._refill()
+                    idx = 0
+                    wait = poll * buf[0]
+                idx += 1
+                poll_wait += wait
+                process.overhead_time += wait
+                events += 1
+                time += wait
+                if gate.penalty:
+                    # a penalised issue must wait its turn in the
+                    # window's penalty sum
+                    gate.waiting = True
+                    replace(parked, (time, order, gate))
+                    continue
+                if time > until:
+                    # penalty-free issues touch only the poller, so
+                    # one due later is made now; a crash before it is
+                    # due takes it back (see crash_stop)
+                    gate.before_issue = process.overhead_time
+            # the wait ended: issue the next attempt
+            cost = gate.cost
+            process.overhead_time += cost
+            gate.attempts += 1
+            gate.waiting = False
+            gate.issued_at = time
+            if cost > 0.0:
+                events += 1
+            replace(parked, (time + cost, order, gate))
+        jitter._idx = idx
+        self.total_poll_wait = poll_wait
+        self.sim.n_events_processed += events
 
     def sync(self, ctx: "RankCtx"):
         """``MPI_Win_sync`` memory barrier."""
@@ -241,7 +526,8 @@ class SharedWindow:
         self._require_held(ctx)
         self._check_cell(cell)
         penalty = self._penalty_of(ctx)[0]
-        self.total_penalty_s += penalty
+        if penalty:
+            self._charge(penalty)
         yield Overhead(self.world.costs.mpi.shm_access + penalty)
         return self.cells[cell]
 
@@ -250,7 +536,8 @@ class SharedWindow:
         self._require_held(ctx)
         self._check_cell(cell)
         penalty = self._penalty_of(ctx)[0]
-        self.total_penalty_s += penalty
+        if penalty:
+            self._charge(penalty)
         yield Overhead(self.world.costs.mpi.shm_access + penalty)
         self.cells[cell] = value
 
@@ -263,7 +550,8 @@ class SharedWindow:
         """
         self._require_held(ctx)
         penalty = self._penalty_of(ctx)[0]
-        self.total_penalty_s += n * penalty
+        if penalty:
+            self._charge(n * penalty)
         yield Overhead(n * (self.world.costs.mpi.shm_access + penalty))
 
     def atomic_fetch_add(self, ctx: "RankCtx", cell: str, value: int):
@@ -271,7 +559,8 @@ class SharedWindow:
         window) — does *not* require holding the window lock."""
         self._check_cell(cell)
         penalty = self._penalty_of(ctx)[1]
-        self.total_penalty_s += penalty
+        if penalty:
+            self._charge(penalty)
         yield Overhead(self.world.costs.mpi.shm_atomic + penalty)
         old = self.cells[cell]
         self.cells[cell] = old + value

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.cluster.costs import CostModel
+from repro.cluster.costs import CostModel, MpiCosts
 from repro.cluster.machine import homogeneous
-from repro.sim import Compute, ProcessFailure, Simulator
+from repro.sim import Compute, ProcessFailure, Simulator, Timeout
+from repro.sim.engine import drain
 from repro.smpi import MpiWorld
+from repro.smpi.shm import _JITTER_BATCH, _JitterBuffer
 
 
 def make_world(n_nodes=1, cores=4, ppn=4, seed=0, costs=None):
@@ -240,3 +242,219 @@ def test_lock_polling_is_deterministic_given_seed():
 
     assert run(3) == run(3)
     assert run(3) != run(4)  # different jitter draws
+
+
+# ----------------------------------------------------------------------
+# parked lock pollers
+# ----------------------------------------------------------------------
+
+
+def test_schedule_at_resumes_at_the_exact_absolute_time():
+    """``schedule_at`` lands on ``time`` itself, not ``now + (time - now)``."""
+    sim = Simulator()
+    now, time = 0.3, 0.9
+    assert now + (time - now) != time  # the rounding schedule_at avoids
+    gate = sim.event("gate")
+    resumed = []
+
+    def sleeper():
+        yield gate  # never triggered: only schedule_at resumes it
+        resumed.append(sim.now)
+
+    def waker(process):
+        yield Timeout(now)
+        sim.schedule_at(process, time)
+        with pytest.raises(ValueError, match="before now"):
+            sim.schedule_at(process, now / 2)
+
+    process = sim.spawn(sleeper())
+    sim.spawn(waker(process))
+    sim.run()
+    assert resumed == [time]
+
+
+def _poll_reference(world, n_ranks, hold, kill=None, home=0):
+    """Replay the lock protocol of ``_hold_then_release`` poll by poll.
+
+    A plain event loop that steps every failed poll as its own event,
+    ordered by (time, push order) like the engine, and draws the poll
+    jitter from the window's named stream of a fresh simulator with the
+    same seed.  Attempts and unlocks pay each rank's locality penalty
+    towards the window's ``home`` rank.  ``kill=(rank, time)``
+    crash-stops one rank at ``time``.  Returns (per-rank overhead,
+    attempts, total poll wait, total penalty).
+    """
+    import heapq
+
+    mpi = world.costs.mpi
+    jitter = Simulator(seed=world.sim.seed).rng("shm-lockpoll.node0")
+    penalty = [world.interconnect.atomic_penalty(r, home) for r in range(n_ranks)]
+    overhead = [0.0] * n_ranks
+    attempts = [0] * n_ranks
+    poll_wait = penalty_sum = 0.0
+    heap, seq = [], 0
+    holder = None
+
+    def push(time, kind, rank):
+        nonlocal seq
+        heapq.heappush(heap, (time, seq, kind, rank))
+        seq += 1
+
+    def issue(now, rank):
+        nonlocal penalty_sum
+        cost = mpi.shm_lock_attempt + penalty[rank]
+        overhead[rank] += cost
+        attempts[rank] += 1
+        penalty_sum += penalty[rank]
+        push(now + cost, "land", rank)
+
+    def unlock(now, rank):
+        nonlocal penalty_sum
+        cost = mpi.shm_unlock + penalty[rank]
+        overhead[rank] += cost
+        penalty_sum += penalty[rank]
+        push(now + cost, "release", rank)
+
+    for rank in range(n_ranks):  # everyone issues a first attempt at t=0
+        issue(0.0, rank)
+    if kill is not None:
+        push(kill[1], "kill", kill[0])
+    dead = set()
+    while heap:
+        now, _, kind, rank = heapq.heappop(heap)
+        if rank in dead:
+            continue
+        if kind == "kill":
+            dead.add(rank)
+        elif kind == "land" and holder is None:
+            holder = rank
+            if rank == 0:
+                push(now + hold, "unlock", rank)
+            else:
+                unlock(now, rank)
+        elif kind == "land":
+            wait = mpi.shm_poll_interval * float(jitter.uniform(0.5, 1.5))
+            poll_wait += wait
+            overhead[rank] += wait
+            push(now + wait, "issue", rank)
+        elif kind == "issue":
+            issue(now, rank)
+        elif kind == "unlock":
+            unlock(now, rank)
+        else:  # release
+            holder = None
+    return overhead, attempts, poll_wait, penalty_sum
+
+
+def _hold_then_release(shm, hold):
+    """Rank 0 holds the lock for ``hold`` seconds; the rest take it once."""
+
+    def main(ctx):
+        yield from shm.lock(ctx)
+        if ctx.rank == 0:
+            yield Compute(hold)
+        yield from shm.unlock(ctx)
+
+    return main
+
+
+def test_parked_waiters_match_a_poll_by_poll_replay():
+    """N ranks parked under a long critical section: attempt counts,
+    poll wait and every rank's overhead equal a per-poll replay of the
+    window's jitter stream, bit for bit."""
+    n_ranks, hold = 8, 2e-3  # ~33 polls per waiter before the release
+    world = make_world(cores=n_ranks, ppn=n_ranks, seed=5)
+    shm = world.create_shared_window(0, {"c": 0})
+    processes = world.run(_hold_then_release(shm, hold))
+    overhead, attempts, poll_wait, _ = _poll_reference(world, n_ranks, hold)
+    assert shm.n_attempts == sum(attempts) > 30 * (n_ranks - 1)
+    assert shm.max_attempts_per_acquire == max(attempts)
+    assert shm.total_poll_wait == poll_wait
+    assert [p.overhead_time for p in processes] == overhead
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_penalised_parked_waiters_match_a_poll_by_poll_replay(seed):
+    """Locality penalties on a two-socket, four-domain node: attempt
+    messages across sockets cost a third of a poll interval, so after a
+    release a poller still in its wait can be overtaken by one already
+    in flight.  The window lives on the far socket from the long holder,
+    so three distinct penalties — the pollers' and the holder's unlock —
+    interleave in the window's penalty sum."""
+    n_ranks, hold = 8, 0.6e-3
+    costs = CostModel().with_overrides(
+        **{"mpi.cross_socket_penalty": 23.1e-6, "mpi.remote_numa_atomic_penalty": 3.3e-6}
+    )
+    world = MpiWorld(
+        Simulator(seed=seed),
+        homogeneous(1, n_ranks, sockets_per_node=2, numa_per_socket=2),
+        ppn=n_ranks,
+        costs=costs,
+    )
+    home = n_ranks - 1
+    shm = world.create_shared_window(0, {"c": 0}, home_rank=home)
+    processes = world.run(_hold_then_release(shm, hold))
+    overhead, attempts, poll_wait, penalty_sum = _poll_reference(
+        world, n_ranks, hold, home=home
+    )
+    assert shm.n_attempts == sum(attempts)
+    assert shm.total_poll_wait == poll_wait
+    assert shm.total_penalty_s == penalty_sum > 0.0
+    assert [p.overhead_time for p in processes] == overhead
+
+
+def test_killed_parked_waiter_draws_no_jitter_after_its_death():
+    n_ranks, hold, victim, when = 6, 2e-3, 3, 0.7e-3
+    world = make_world(cores=n_ranks, ppn=n_ranks, seed=2)
+    shm = world.create_shared_window(0, {"c": 0})
+    processes = world.launch(_hold_then_release(shm, hold))
+
+    def crash():
+        yield Timeout(when)
+        shm.crash_stop(processes[victim])
+        world.sim.kill(processes[victim])
+
+    world.sim.spawn(crash())
+    drain(world.sim, processes)
+    overhead, _, poll_wait, _ = _poll_reference(
+        world, n_ranks, hold, kill=(victim, when)
+    )
+    assert shm.total_poll_wait == poll_wait
+    assert [p.overhead_time for p in processes] == overhead
+    # the kill matters: without it the victim keeps polling
+    no_kill_overhead, _, no_kill_poll_wait, _ = _poll_reference(world, n_ranks, hold)
+    assert poll_wait < no_kill_poll_wait
+    assert overhead[victim] < no_kill_overhead[victim]
+
+
+def test_drain_names_a_window_never_released_and_its_parked_ranks():
+    world = make_world()
+    shm = world.create_shared_window(0, {"c": 0})
+
+    def main(ctx):
+        yield from shm.lock(ctx)  # rank 0 returns still holding it
+
+    with pytest.raises(RuntimeError) as info:
+        world.run(main)
+    message = str(info.value)
+    assert "3 processes still alive" in message
+    assert "shmwin@node0 still has 3 rank(s) parked" in message
+
+
+def test_batched_jitter_equals_sequential_scalar_draws():
+    """Block draws are bit-identical to one-at-a-time draws and leave
+    the generator in the same state (across a block boundary)."""
+    batched = _JitterBuffer(Simulator(seed=9).rng("s"))
+    scalar = Simulator(seed=9).rng("s")
+    values = batched._refill() + batched._refill()
+    assert len(values) == 2 * _JITTER_BATCH
+    assert values == [float(scalar.uniform(0.5, 1.5)) for _ in values]
+    assert batched._rng.uniform(0.5, 1.5) == scalar.uniform(0.5, 1.5)
+
+
+@pytest.mark.parametrize("interval", [0.0, -1e-6])
+def test_non_positive_poll_interval_is_rejected(interval):
+    with pytest.raises(ValueError, match="shm_poll_interval must be > 0"):
+        CostModel().with_overrides(**{"mpi.shm_poll_interval": interval})
+    with pytest.raises(ValueError, match="shm_poll_interval must be > 0"):
+        MpiCosts(shm_poll_interval=interval)
