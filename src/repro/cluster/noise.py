@@ -50,11 +50,17 @@ class NoiseModel:
             return np.ones(n_cores)
         return np.exp(rng.normal(0.0, self.per_core_sigma, size=n_cores))
 
-    def chunk_jitter(self, rng: np.random.Generator) -> float:
-        """Multiplicative factor applied to one chunk's execution time."""
+    def chunk_jitters(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Multiplicative factors for the next ``size`` executed chunks.
+
+        One block draw is bit-identical to ``size`` sequential scalar
+        draws, so execution models read these through a
+        :class:`~repro.sim.engine.BatchedDraws` buffer.  No noise draws
+        nothing: the factors are exactly 1.0.
+        """
         if self.jitter_sigma <= 0.0:
-            return 1.0
-        return float(np.exp(rng.normal(0.0, self.jitter_sigma)))
+            return np.ones(size)
+        return np.exp(rng.normal(0.0, self.jitter_sigma, size))
 
 
 #: No perturbation at all — bit-exact analytic schedules (used heavily in tests).

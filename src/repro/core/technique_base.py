@@ -63,7 +63,9 @@ class IterationProfile:
 #: ``(technique, n, p, parameters)`` tuple recurs for every cell of a
 #: figure sweep (every rank of every run derives the identical schedule),
 #: so the recurrence is unrolled once per distinct key, process-wide.
-_SEQUENCE_CACHE: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+#: An entry holds the sizes and prefix sums as arrays and as native-int
+#: lists (see :meth:`ChunkCalculator._materialize`).
+_SEQUENCE_CACHE: Dict[tuple, "_Sequence"] = {}
 _SEQUENCE_CACHE_MAX = 512
 
 
@@ -72,15 +74,21 @@ def clear_sequence_cache() -> None:
     _SEQUENCE_CACHE.clear()
 
 
+#: one materialised sequence: ``(sizes, prefix, sizes_list, prefix_list)``
+_Sequence = Tuple[np.ndarray, np.ndarray, List[int], List[int]]
+
+
 class ChunkCalculator:
     """Chunk-size oracle for one execution of one scheduling level.
 
     Subclasses implement :meth:`_next_size`, the remaining-based
     recurrence ``C_i = f(R_i, i)``.  For deterministic calculators the
     base class materialises the *entire* serial sequence as a NumPy
-    array together with its prefix sums on first use, so ``size_at`` /
-    ``start_at`` / ``total_steps`` are O(1) array reads and
-    :meth:`step_of` is a single ``searchsorted`` — this mirrors how the
+    array together with its prefix sums on first use, plus native-int
+    list copies of both, so ``size_at`` / ``start_at`` /
+    ``total_steps`` are O(1) list reads (no ``np.int64`` boxing per
+    chunk) and :meth:`step_of` is a single ``searchsorted`` over the
+    array — this mirrors how the
     distributed chunk-calculation approach lets every rank evaluate the
     schedule locally.  Sequences are memoised process-wide per
     :meth:`_memo_key`, so repeated runs over the same ``(technique, n,
@@ -106,9 +114,12 @@ class ChunkCalculator:
         self.name = name
         self.n = int(n)
         self.p = int(p)
-        #: materialised serial sequence + prefix sums (deterministic only)
+        #: materialised serial sequence + prefix sums (deterministic
+        #: only), as arrays and as the lists the per-chunk reads use
         self._sizes_arr: Optional[np.ndarray] = None
         self._prefix_arr: Optional[np.ndarray] = None
+        self._sizes: Optional[List[int]] = None
+        self._starts: Optional[List[int]] = None
 
     # -- recurrence ----------------------------------------------------
     def _next_size(self, remaining: int, step: int) -> int:
@@ -125,14 +136,14 @@ class ChunkCalculator:
         """
         return None
 
-    def _materialize(self) -> np.ndarray:
-        """Unroll the full serial sequence into arrays (once)."""
+    def _materialize(self) -> List[int]:
+        """Unroll the full serial sequence (once); returns the sizes list."""
         key = self._memo_key()
         if key is not None:
             cached = _SEQUENCE_CACHE.get(key)
             if cached is not None:
-                self._sizes_arr, self._prefix_arr = cached
-                return self._sizes_arr
+                self._sizes_arr, self._prefix_arr, self._sizes, self._starts = cached
+                return self._sizes
         sizes: List[int] = []
         total = 0
         n = self.n
@@ -144,13 +155,13 @@ class ChunkCalculator:
             total += size
         sizes_arr = np.asarray(sizes, dtype=np.int64)
         prefix_arr = np.concatenate(([0], np.cumsum(sizes_arr)))
-        self._sizes_arr = sizes_arr
-        self._prefix_arr = prefix_arr
+        entry = (sizes_arr, prefix_arr, sizes_arr.tolist(), prefix_arr.tolist())
+        self._sizes_arr, self._prefix_arr, self._sizes, self._starts = entry
         if key is not None:
             if len(_SEQUENCE_CACHE) >= _SEQUENCE_CACHE_MAX:
                 _SEQUENCE_CACHE.clear()
-            _SEQUENCE_CACHE[key] = (sizes_arr, prefix_arr)
-        return sizes_arr
+            _SEQUENCE_CACHE[key] = entry
+        return self._sizes
 
     # -- public API ------------------------------------------------------
     def size_at(self, step: int, pe: Optional[int] = None) -> int:
@@ -161,11 +172,11 @@ class ChunkCalculator:
         """
         if step < 0:
             raise TechniqueError(f"negative scheduling step {step}")
-        sizes = self._sizes_arr
+        sizes = self._sizes
         if sizes is None:
             sizes = self._materialize()
-        if step < sizes.size:
-            return int(sizes[step])
+        if step < len(sizes):
+            return sizes[step]
         return 0
 
     def start_at(self, step: int) -> int:
@@ -179,10 +190,11 @@ class ChunkCalculator:
             raise TechniqueError(
                 f"{self.name} is adaptive/PE-dependent; start_at() is undefined"
             )
-        if self._sizes_arr is None:
-            self._materialize()
-        if step < self._sizes_arr.size:
-            return int(self._prefix_arr[step])
+        sizes = self._sizes
+        if sizes is None:
+            sizes = self._materialize()
+        if step < len(sizes):
+            return self._starts[step]
         return self.n
 
     def step_of(self, iteration: int) -> int:
@@ -227,19 +239,19 @@ class ChunkCalculator:
         """Number of chunks in the serial unrolling (deterministic only)."""
         if not self.deterministic:
             raise TechniqueError(f"{self.name}: total_steps undefined for adaptive")
-        sizes = self._sizes_arr
+        sizes = self._sizes
         if sizes is None:
             sizes = self._materialize()
-        return int(sizes.size)
+        return len(sizes)
 
     def sequence(self) -> List[int]:
         """The full serial chunk-size sequence (deterministic only)."""
         if not self.deterministic:
             raise TechniqueError(f"{self.name}: sequence undefined for adaptive")
-        sizes = self._sizes_arr
+        sizes = self._sizes
         if sizes is None:
             sizes = self._materialize()
-        return sizes.tolist()
+        return list(sizes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, n={self.n}, p={self.p})"

@@ -90,7 +90,6 @@ def simulate_cell(
     placement: Union[str, Mapping[Any, int]] = "leader",
     faults: Optional[Any] = None,
     dcc: bool = False,
-    engine: str = "scalar",
 ) -> Cell:
     """Run one cell's simulation (shared by serial path and pool workers).
 
@@ -100,9 +99,6 @@ def simulate_cell(
     ``dcc`` reroutes mpi+mpi stacks through the
     distributed-chunk-calculation model — all default to the
     historical behaviour, so pre-existing sweeps are untouched.
-    ``engine`` selects the execution engine ("scalar" | "cohort");
-    eligible cohort cells produce bit-identical results faster, so the
-    choice deliberately does not enter the cell cache key.
     """
     t0 = time.perf_counter()
     result: RunResult = run_hierarchical(
@@ -118,7 +114,6 @@ def simulate_cell(
         placement=placement,
         faults=faults,
         dcc=dcc,
-        engine=engine,
     )
     wall = time.perf_counter() - t0
     return Cell(
@@ -177,10 +172,6 @@ class GridRunner:
     #: reroute every mpi+mpi cell through the distributed-chunk-
     #: calculation model (same composed schedule, single global counter)
     dcc: bool = False
-    #: execution engine for every cell ("scalar" | "cohort"); cohort
-    #: batches rank-symmetric events and is bit-identical on eligible
-    #: cells, so it shares the scalar cell cache (not part of cell_key)
-    engine: str = "scalar"
     #: filled by :meth:`sweep`: {"cells", "simulated", "cache_hits"}
     last_sweep_stats: Dict[str, int] = field(default_factory=dict, repr=False)
 
@@ -203,7 +194,6 @@ class GridRunner:
             placement=self.placement,
             faults=self.faults,
             dcc=self.dcc,
-            engine=self.engine,
         )
         self._report(cell)
         return cell
@@ -282,7 +272,6 @@ class GridRunner:
             placement=self.placement,
             faults=self.faults,
             dcc=self.dcc,
-            engine=self.engine,
         )
 
         self.last_sweep_stats = {

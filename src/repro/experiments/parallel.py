@@ -333,21 +333,19 @@ def _init_worker(
     placement: PlacementArg = "leader",
     faults: Optional["FaultModel"] = None,
     dcc: bool = False,
-    engine: str = "scalar",
 ) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (workload, ppn, seed, costs, placement, faults, dcc, engine)
+    _WORKER_CTX = (workload, ppn, seed, costs, placement, faults, dcc)
 
 
 def _run_cell_in_worker(task: Tuple[CellSpec, ClusterSpec]) -> "Cell":
     from repro.experiments.harness import simulate_cell
 
     (approach, inter, intra, nodes), cluster = task
-    workload, ppn, seed, costs, placement, faults, dcc, engine = _WORKER_CTX
+    workload, ppn, seed, costs, placement, faults, dcc = _WORKER_CTX
     return simulate_cell(
         workload, cluster, approach, inter, intra, nodes, ppn, seed,
         costs=costs, placement=placement, faults=faults, dcc=dcc,
-        engine=engine,
     )
 
 
@@ -363,7 +361,6 @@ def run_cells(
     placement: PlacementArg = "leader",
     faults: Optional["FaultModel"] = None,
     dcc: bool = False,
-    engine: str = "scalar",
     retries: int = 2,
     retry_backoff: float = 0.1,
 ) -> List["Cell"]:
@@ -390,7 +387,6 @@ def run_cells(
         cell = simulate_cell(
             workload, cluster, *spec, ppn, seed,
             costs=costs, placement=placement, faults=faults, dcc=dcc,
-            engine=engine,
         )
         if on_result is not None:
             on_result(index, cell)
@@ -407,8 +403,7 @@ def run_cells(
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(specs)),
             initializer=_init_worker,
-            initargs=(shippable, ppn, seed, costs, placement, faults, dcc,
-                      engine),
+            initargs=(shippable, ppn, seed, costs, placement, faults, dcc),
         ) as pool:
             futures = {
                 pool.submit(_run_cell_in_worker, task): index

@@ -25,7 +25,7 @@ from repro.core.hierarchy import HierarchicalSpec
 from repro.core.metrics import LoadMetrics, WorkerStats, compute_metrics
 from repro.core.technique_base import ChunkCalculator
 from repro.core.trace import Trace
-from repro.sim.engine import Simulator, drain
+from repro.sim.engine import BatchedDraws, Simulator, drain
 from repro.sim.primitives import Overhead, Timeout
 from repro.smpi.rma import Window
 from repro.smpi.world import MpiWorld, RankCtx
@@ -214,7 +214,12 @@ class _Run:
         per_core = noise.core_factor(rng, cluster.n_nodes * self.ppn)
         nominal = np.repeat([n.core_speed for n in cluster.nodes], self.ppn)
         self.core_speed = nominal * per_core  # indexed by node * ppn + core
-        self._jitter_rng = self.sim.rng(f"chunk-jitter.{noise.seed_tag}")
+        # per-chunk reads go to native copies and a batched jitter stream
+        self._speeds: List[float] = self.core_speed.tolist()
+        self._prefix = workload.prefix_costs
+        self._jitter = BatchedDraws(
+            self.sim.rng(f"chunk-jitter.{noise.seed_tag}"), noise.chunk_jitters
+        )
         # recorded outcomes
         self.chunks: List[Chunk] = []
         self.subchunks: List[Chunk] = []
@@ -259,14 +264,17 @@ class _Run:
             self._pending_stalls = {}
 
     # -- timing helpers --------------------------------------------------
-    def speed_of(self, node: int, core: int) -> float:
-        return float(self.core_speed[node * self.ppn + core])
-
     def exec_time(self, start: int, size: int, node: int, core: int) -> float:
         """Simulated duration of iterations [start, start+size) on a core."""
-        nominal = self.workload.block_cost(start, size)
-        jitter = self.noise.chunk_jitter(self._jitter_rng)
-        duration = nominal * jitter / self.speed_of(node, core)
+        prefix = self._prefix
+        end = start + size
+        if size < 0 or start < 0 or end >= len(prefix):
+            raise IndexError(
+                f"block [{start}, {end}) outside loop of "
+                f"{len(prefix) - 1} iterations"
+            )
+        speed = self._speeds[node * self.ppn + core]
+        duration = (prefix[end] - prefix[start]) * self._jitter.next() / speed
         if self.faults_active:
             # Fault factors apply *after* the jitter draw so the RNG
             # stream consumption (and thus every other rank's noise) is

@@ -223,6 +223,57 @@ class Process:
         return f"Process({self.name!r}, {state})"
 
 
+#: values per refill of a :class:`BatchedDraws` buffer
+DRAW_BATCH = 256
+
+
+class BatchedDraws:
+    """A named RNG stream read through a buffer of pre-drawn values.
+
+    ``draw(rng, size)`` returns the next ``size`` values of the stream
+    as a NumPy array.  NumPy's block draws (``uniform``, ``normal``) and
+    element-wise transforms of them (``exp``) are bit-identical to the
+    same number of scalar draws in the same order (pinned by the shm and
+    noise test suites), so buffering only amortises the per-call RNG
+    overhead — it cannot change a single value.  The buffer holds native
+    floats (``tolist``), so consumers never pay ``np.float64``
+    arithmetic.
+
+    Per-event consumers call :meth:`next`; the hottest loops read
+    ``_buf[_idx]`` inline and call :meth:`_refill` on exhaustion (the
+    buffer starts empty, so exhaustion is always an ``IndexError``).
+    """
+
+    __slots__ = ("_rng", "_draw", "_buf", "_idx")
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        draw: Callable[[np.random.Generator, int], np.ndarray],
+    ):
+        self._rng = rng
+        self._draw = draw
+        self._buf: list = []
+        self._idx = 0
+
+    def _refill(self) -> list:
+        """Draw the next block and rewind; returns the new buffer."""
+        buf = self._buf = self._draw(self._rng, DRAW_BATCH).tolist()
+        self._idx = 0
+        return buf
+
+    def next(self) -> float:
+        """The stream's next value."""
+        idx = self._idx
+        try:
+            value = self._buf[idx]
+        except IndexError:
+            value = self._refill()[0]
+            idx = 0
+        self._idx = idx + 1
+        return value
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 

@@ -21,10 +21,10 @@ traffic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.cluster.interconnect import Tier
-from repro.sim.primitives import Overhead
+from repro.sim.primitives import Delay, Overhead
 from repro.sim.resources import Lock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,6 +51,9 @@ class Window:
         self.host_node = world.placement.node_of(host_rank)
         self.cells: Dict[str, int] = dict(cells)
         self._unit = Lock(world.sim, name=f"win@{host_rank}.atomic-unit")
+        #: per-rank atomic pricing (see :meth:`_pricing`), resolved on
+        #: first use — the (rank, host) tier is fixed until a failover
+        self._prices: Dict[int, Tuple[str, bool, Optional[Delay], Delay, float]] = {}
         # statistics
         self.n_atomics = 0
         self.n_remote_atomics = 0
@@ -76,11 +79,41 @@ class Window:
             raise ValueError(f"invalid failover host rank {new_host}")
         self.host_rank = new_host
         self.host_node = self.world.placement.node_of(new_host)
+        self._prices.clear()
         self.n_failovers += 1
 
     def _check_cell(self, cell: str) -> None:
         if cell not in self.cells:
             raise KeyError(f"window has no cell {cell!r}; cells: {list(self.cells)}")
+
+    def _pricing(
+        self, ctx: "RankCtx"
+    ) -> Tuple[str, bool, Optional[Delay], Delay, float]:
+        """``ctx``'s atomic pricing on this window, resolved once:
+        ``(owner, remote, latency, processing, service_s)``.
+
+        ``latency`` is the one-way network delay (None on the target's
+        own node), ``processing`` the serialised service at the target
+        plus the locality-tier penalty, and ``service_s`` the seconds
+        one atomic adds to :attr:`total_atomic_time_s`.
+        """
+        priced = self._prices.get(ctx.rank)
+        if priced is None:
+            mpi = self.world.costs.mpi
+            tier = self.world.interconnect.distance(ctx.rank, self.host_rank)
+            remote = tier is Tier.NETWORK
+            latency = self.world.cluster.network_latency if remote else 0.0
+            processing = (
+                mpi.rma_atomic if remote else mpi.shm_atomic
+            ) + mpi.tier_atomic_penalty(tier)
+            priced = self._prices[ctx.rank] = (
+                ctx.owner,
+                remote,
+                Overhead(latency) if latency else None,
+                Overhead(processing),
+                processing + 2.0 * latency,
+            )
+        return priced
 
     def _priced_atomic(self, ctx: "RankCtx", mutate, on_commit=None):
         """Run one serialised, distance-priced atomic at the target
@@ -105,30 +138,23 @@ class Window:
         the result is in flight has still registered the side effect
         (failure-aware layers use this for their claims ledger).
         """
-        mpi = self.world.costs.mpi
-        tier = self.world.interconnect.distance(ctx.rank, self.host_rank)
-        remote = tier is Tier.NETWORK
-        latency = self.world.cluster.network_latency if remote else 0.0
-        processing = (
-            mpi.rma_atomic if remote else mpi.shm_atomic
-        ) + mpi.tier_atomic_penalty(tier)
-
-        if latency:
-            yield Overhead(latency)
-        yield from self._unit.acquire(owner=f"rank{ctx.rank}")
+        owner, remote, latency, processing, service_s = self._pricing(ctx)
+        if latency is not None:
+            yield latency
+        yield from self._unit.acquire(owner=owner)
         try:
-            yield Overhead(processing)
+            yield processing
             old = mutate()
             self.n_atomics += 1
             if remote:
                 self.n_remote_atomics += 1
-            self.total_atomic_time_s += processing + 2.0 * latency
+            self.total_atomic_time_s += service_s
             if on_commit is not None:
                 on_commit(old)
         finally:
             self._unit.release()
-        if latency:
-            yield Overhead(latency)
+        if latency is not None:
+            yield latency
         return old
 
     def fetch_and_op(

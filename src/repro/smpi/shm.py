@@ -48,7 +48,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.primitives import Overhead, OverheadOnce, SimEvent
+from repro.sim.engine import BatchedDraws
+from repro.sim.primitives import Delay, Overhead, OverheadOnce, SimEvent
 from repro.sim.resources import Lock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,36 +57,34 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.smpi.world import MpiWorld, RankCtx
 
 
-#: batch size for pre-drawn lock-poll jitter factors.  Batched
-#: ``Generator.uniform`` draws are bit-identical to the same number of
-#: sequential scalar draws (pinned by the shm test suite), so buffering
-#: only amortises RNG call overhead — it cannot change a single value.
-_JITTER_BATCH = 256
+def _poll_jitters(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Lock-poll jitter factors, ``uniform(0.5, 1.5)``, in draw order."""
+    return rng.uniform(0.5, 1.5, size)
 
 
-class _JitterBuffer:
-    """Batched view of one shared window's lock-poll jitter stream.
+class _Port:
+    """What one rank's calls on one shared window cost.
 
-    Draws ``uniform(0.5, 1.5)`` factors in blocks; consumers read
-    ``_buf[_idx]`` inline and call :meth:`_refill` on exhaustion.  The
-    values (and generator state) equal sequential scalar draws.
+    The (rank, window) locality tier is fixed until the window is
+    re-homed, so each rank resolves its penalties, its lock-attempt cost
+    and the delays its calls yield once, on first use;
+    :meth:`SharedWindow.fail_over` drops every port.
     """
 
-    __slots__ = ("_rng", "_buf", "_idx")
+    __slots__ = (
+        "load_penalty", "atomic_penalty", "attempt_cost", "attempt",
+        "access3", "unlock",
+    )
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        #: starts empty (not None) so exhaustion is always an IndexError
-        self._buf: list = []
-        self._idx = 0
-
-    def _refill(self) -> list:
-        """Draw the next block and rewind; returns the new buffer."""
-        # ``tolist`` converts to native floats (exact doubles) so hot
-        # loops never pay np.float64 arithmetic.
-        buf = self._buf = self._rng.uniform(0.5, 1.5, size=_JITTER_BATCH).tolist()
-        self._idx = 0
-        return buf
+    def __init__(self, mpi: Any, load_penalty: float, atomic_penalty: float):
+        self.load_penalty = load_penalty
+        self.atomic_penalty = atomic_penalty
+        #: seconds per lock-attempt message, and the delay it yields
+        self.attempt_cost = mpi.shm_lock_attempt + atomic_penalty
+        self.attempt = Overhead(self.attempt_cost)
+        #: ``access(n=3)``, the queue protocol's head-pointer touch
+        self.access3 = Overhead(3 * (mpi.shm_access + load_penalty))
+        self.unlock = Overhead(mpi.shm_unlock + atomic_penalty)
 
 
 class _PollGate(SimEvent):
@@ -165,7 +164,9 @@ class SharedWindow:
         self.sim = world.sim
         self._lock = Lock(world.sim, name=f"shmwin@node{tag}")
         #: batched lock-poll jitter, shared by every poller of the window
-        self.jitter = _JitterBuffer(world.sim.rng(f"shm-lockpoll.node{tag}"))
+        self.jitter = BatchedDraws(
+            world.sim.rng(f"shm-lockpoll.node{tag}"), _poll_jitters
+        )
         #: parked pollers: ``(time, park_order, gate)``, ``time`` being
         #: the poller's next step (see :attr:`_PollGate.waiting`)
         self._parked: List[Tuple[float, int, _PollGate]] = []
@@ -183,9 +184,9 @@ class SharedWindow:
         self.home_rank: Optional[int] = (
             home_rank if home_rank is not None else self._home_of(world, node)
         )
-        #: per-rank (load, atomic) penalty memo — the tier of a
-        #: (rank, window) pair never changes during a run
-        self._penalties: Dict[int, Tuple[float, float]] = {}
+        #: per-rank ports (see :class:`_Port`), resolved on first use
+        self._ports: Dict[int, _Port] = {}
+        self._sync: Delay = Overhead(world.costs.mpi.shm_win_sync)
         # statistics
         self.n_acquisitions = 0
         self.n_attempts = 0
@@ -219,20 +220,21 @@ class SharedWindow:
             return None
         return members[0] if members else None
 
-    def _penalty_of(self, ctx: "RankCtx") -> Tuple[float, float]:
-        """(load, atomic) locality penalty for ``ctx`` on this window."""
-        cached = self._penalties.get(ctx.rank)
-        if cached is None:
+    def _port(self, ctx: "RankCtx") -> _Port:
+        """``ctx``'s port on this window, resolved once per rank (hot
+        callers probe ``_ports`` inline first)."""
+        port = self._ports.get(ctx.rank)
+        if port is None:
             if self.home_rank is None:
-                cached = (0.0, 0.0)
+                penalties = (0.0, 0.0)
             else:
                 net = self.world.interconnect
-                cached = (
+                penalties = (
                     net.load_penalty(ctx.rank, self.home_rank),
                     net.atomic_penalty(ctx.rank, self.home_rank),
                 )
-            self._penalties[ctx.rank] = cached
-        return cached
+            port = self._ports[ctx.rank] = _Port(self.world.costs.mpi, *penalties)
+        return port
 
     # ------------------------------------------------------------------
     # locking (the expensive part)
@@ -247,16 +249,17 @@ class SharedWindow:
         poller parks on the window until an unlock realises its retries
         (see the module docstring).
         """
-        owner = f"rank{ctx.rank}"
+        owner = ctx.owner
         # each lock-attempt message travels to the window's home NUMA
         # domain, so remote-NUMA/cross-socket requesters pay the tier
         # penalty per attempt (zero with default knobs)
-        atomic_penalty = self._penalty_of(ctx)[1]
-        attempt_cost = self.world.costs.mpi.shm_lock_attempt + atomic_penalty
+        port = self._ports.get(ctx.rank) or self._port(ctx)
+        atomic_penalty = port.atomic_penalty
+        attempt = port.attempt
         attempts = 1
         if atomic_penalty:
             self._charge(atomic_penalty)
-        yield Overhead(attempt_cost)
+        yield attempt
         gate = None
         while not self._lock.try_acquire(owner):
             faults = self.world.faults
@@ -274,10 +277,10 @@ class SharedWindow:
                 attempts += 1
                 if atomic_penalty:
                     self._charge(atomic_penalty)
-                yield Overhead(attempt_cost)
+                yield attempt
                 continue
             if gate is None:
-                gate = _PollGate(self.sim, attempt_cost, atomic_penalty)
+                gate = _PollGate(self.sim, port.attempt_cost, atomic_penalty)
             gate.waiting = False
             heapq.heappush(
                 self._parked, (self.sim.now, next(self._park_order), gate)
@@ -289,7 +292,7 @@ class SharedWindow:
                 attempts += 1
                 if atomic_penalty:
                     self._charge(atomic_penalty)
-                yield Overhead(attempt_cost)
+                yield attempt
         if gate is not None:
             attempts += gate.attempts
         self.n_attempts += attempts
@@ -298,11 +301,10 @@ class SharedWindow:
 
     def unlock(self, ctx: "RankCtx"):
         """``MPI_Win_unlock`` (epoch close: one more message home)."""
-        self._require_held(ctx)
-        penalty = self._penalty_of(ctx)[1]
-        if penalty:
-            self._charge(penalty)
-        yield Overhead(self.world.costs.mpi.shm_unlock + penalty)
+        port = self._require_held(ctx)
+        if port.atomic_penalty:
+            self._charge(port.atomic_penalty)
+        yield port.unlock
         self._lock.release()
         if self._parked:
             self._wake_first()
@@ -469,7 +471,7 @@ class SharedWindow:
     def sync(self, ctx: "RankCtx"):
         """``MPI_Win_sync`` memory barrier."""
         self.n_syncs += 1
-        yield Overhead(self.world.costs.mpi.shm_win_sync)
+        yield self._sync
 
     def _owner_is_dead(self) -> bool:
         """True when the lock is held by a crash-stopped rank."""
@@ -492,40 +494,40 @@ class SharedWindow:
         the fault injector, not here.
         """
         self.home_rank = new_home
-        self._penalties.clear()
+        self._ports.clear()
         self.n_failovers += 1
 
     @property
     def locked(self) -> bool:
         return self._lock.locked
 
-    def _require_held(self, ctx: "RankCtx") -> None:
-        """The *calling rank* must own the exclusive lock.
+    def _require_held(self, ctx: "RankCtx") -> _Port:
+        """The *calling rank* must own the exclusive lock; returns its port.
 
         Merely checking that the lock is held is not enough: rank A
         mutating the window while rank B holds the lock is exactly the
         data race ``MPI_Win_lock`` exists to prevent.
         """
-        if not self._lock.locked:
+        if self._lock.owner != ctx.owner:
+            if not self._lock.locked:
+                raise RuntimeError(
+                    f"shared window on node {self.node} accessed without "
+                    "holding MPI_Win_lock — this is a data race"
+                )
             raise RuntimeError(
-                f"shared window on node {self.node} accessed without holding "
-                "MPI_Win_lock — this is a data race"
+                f"shared window on node {self.node} accessed by {ctx.owner} "
+                f"while {self._lock.owner} holds MPI_Win_lock — this is a "
+                "data race"
             )
-        owner = f"rank{ctx.rank}"
-        if self._lock.owner != owner:
-            raise RuntimeError(
-                f"shared window on node {self.node} accessed by {owner} while "
-                f"{self._lock.owner} holds MPI_Win_lock — this is a data race"
-            )
+        return self._ports.get(ctx.rank) or self._port(ctx)
 
     # ------------------------------------------------------------------
     # data access (cheap, but must hold the lock)
     # ------------------------------------------------------------------
     def load(self, ctx: "RankCtx", cell: str):
         """Read one named cell (generator; requires the calling rank's lock)."""
-        self._require_held(ctx)
+        penalty = self._require_held(ctx).load_penalty
         self._check_cell(cell)
-        penalty = self._penalty_of(ctx)[0]
         if penalty:
             self._charge(penalty)
         yield Overhead(self.world.costs.mpi.shm_access + penalty)
@@ -533,9 +535,8 @@ class SharedWindow:
 
     def store(self, ctx: "RankCtx", cell: str, value: int):
         """Write one named cell (generator; requires the calling rank's lock)."""
-        self._require_held(ctx)
+        penalty = self._require_held(ctx).load_penalty
         self._check_cell(cell)
-        penalty = self._penalty_of(ctx)[0]
         if penalty:
             self._charge(penalty)
         yield Overhead(self.world.costs.mpi.shm_access + penalty)
@@ -548,17 +549,20 @@ class SharedWindow:
         objects; models mutate them directly but must account the
         touches through this method (and hold the lock).
         """
-        self._require_held(ctx)
-        penalty = self._penalty_of(ctx)[0]
+        port = self._require_held(ctx)
+        penalty = port.load_penalty
         if penalty:
             self._charge(n * penalty)
-        yield Overhead(n * (self.world.costs.mpi.shm_access + penalty))
+        if n == 3:
+            yield port.access3
+        else:
+            yield Overhead(n * (self.world.costs.mpi.shm_access + penalty))
 
     def atomic_fetch_add(self, ctx: "RankCtx", cell: str, value: int):
         """Lock-free shared atomic (``MPI_Fetch_and_op`` on the local
         window) — does *not* require holding the window lock."""
         self._check_cell(cell)
-        penalty = self._penalty_of(ctx)[1]
+        penalty = self._port(ctx).atomic_penalty
         if penalty:
             self._charge(penalty)
         yield Overhead(self.world.costs.mpi.shm_atomic + penalty)

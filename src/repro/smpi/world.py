@@ -156,6 +156,8 @@ class RankCtx:
     def __init__(self, world: MpiWorld, rank: int):
         self.world = world
         self.rank = rank
+        #: lock-owner token of this rank (shared windows, RMA atomic units)
+        self.owner = f"rank{rank}"
         self.node = world.placement.node_of(rank)
         self.socket = world.placement.socket_of(rank)
         self.numa = world.placement.numa_of(rank)

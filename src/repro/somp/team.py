@@ -327,13 +327,14 @@ class OmpTeam:
                 phase.grabs[tid] = phase.grabs.get(tid, 0) + 1
                 yield from self._execute(phase, tid, abs_start, size)
         else:
+            # atomic capture of the shared counter (+ chunk formula
+            # evaluation for the calculator-based schedules)
+            cost = omp.atomic
+            if phase.calc is not None:
+                cost += self.costs.chunk_calc
+            capture = Overhead(cost)
             while True:
-                # atomic capture of the shared counter (+ chunk formula
-                # evaluation for the calculator-based schedules)
-                cost = omp.atomic
-                if phase.calc is not None:
-                    cost += self.costs.chunk_calc
-                yield Overhead(cost)
+                yield capture
                 grabbed = self._grab(phase, tid)
                 if grabbed is None:
                     break

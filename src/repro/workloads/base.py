@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -26,8 +26,9 @@ class Workload:
         performs the iterations (used by the native backend and the
         examples; the simulator only needs ``costs``).
 
-    Block costs are O(1) via a prefix-sum table — execution models call
-    :meth:`block_cost` once per sub-chunk, so this matters.
+    Block costs are O(1) via a prefix-sum table — execution models read
+    it once per sub-chunk, so this matters (they read the native-float
+    copy :attr:`prefix_costs`).
     """
 
     def __init__(
@@ -47,6 +48,7 @@ class Workload:
         self.meta = dict(meta or {})
         self.executor = executor
         self._prefix = np.concatenate(([0.0], np.cumsum(costs)))
+        self._prefix_list: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -62,6 +64,19 @@ class Workload:
     def cost(self, i: int) -> float:
         """Nominal cost of iteration ``i``."""
         return float(self.costs[i])
+
+    @property
+    def prefix_costs(self) -> List[float]:
+        """The prefix-sum table as native floats, built on first use.
+
+        ``prefix_costs[j] - prefix_costs[i]`` is bit-identical to
+        :meth:`block_cost` ``(i, j - i)``; execution models read it per
+        chunk without paying ``np.float64`` indexing.
+        """
+        table = self._prefix_list
+        if table is None:
+            table = self._prefix_list = self._prefix.tolist()
+        return table
 
     def block_cost(self, start: int, size: int) -> float:
         """Total nominal cost of iterations ``[start, start+size)`` (O(1))."""

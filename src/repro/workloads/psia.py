@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.workloads.base import Workload
 
@@ -68,7 +67,13 @@ def synthetic_object(
 
 
 def neighbourhood_sizes(points: np.ndarray, support_radius: float) -> np.ndarray:
-    """Number of surface points within the support sphere of each point."""
+    """Number of surface points within the support sphere of each point.
+
+    Needs scipy (the package's only use of it): imported here, so every
+    other workload, and ``import repro``, work with numpy alone.
+    """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     return np.asarray(
         tree.query_ball_point(points, r=support_radius, return_length=True),

@@ -14,6 +14,7 @@ from repro.cluster.machine import (
 )
 from repro.cluster.noise import HARSH_NOISE, MILD_NOISE, NO_NOISE, NoiseModel
 from repro.cluster.topology import block_placement, round_robin_placement
+from repro.sim.engine import DRAW_BATCH, BatchedDraws, Simulator
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,9 @@ def test_interconnect_queries_take_ranks_not_nodes():
 def test_no_noise_is_identity():
     rng = np.random.default_rng(0)
     assert np.allclose(NO_NOISE.core_factor(rng, 8), 1.0)
-    assert NO_NOISE.chunk_jitter(rng) == 1.0
+    state = rng.bit_generator.state
+    assert NO_NOISE.chunk_jitters(rng, 4).tolist() == [1.0] * 4
+    assert rng.bit_generator.state == state  # no noise draws nothing
 
 
 def test_noise_factors_are_positive_and_spread():
@@ -182,8 +185,25 @@ def test_noise_factors_are_positive_and_spread():
 
 def test_chunk_jitter_centered_near_one():
     rng = np.random.default_rng(2)
-    jitters = [MILD_NOISE.chunk_jitter(rng) for _ in range(2000)]
+    jitters = MILD_NOISE.chunk_jitters(rng, 2000)
     assert 0.99 < np.mean(jitters) < 1.01
+
+
+@pytest.mark.parametrize("noise", [MILD_NOISE, HARSH_NOISE], ids=["mild", "harsh"])
+def test_batched_lognormal_jitter_equals_sequential_scalar_draws(noise):
+    """Buffered chunk jitter is bit-identical to one scalar lognormal
+    draw per chunk (across a block boundary) and leaves the generator
+    where the scalar draws leave it."""
+    batched = BatchedDraws(Simulator(seed=9).rng("s"), noise.chunk_jitters)
+    scalar = Simulator(seed=9).rng("s")
+    values = [batched.next() for _ in range(2 * DRAW_BATCH + 3)]
+    assert values == [
+        float(np.exp(scalar.normal(0.0, noise.jitter_sigma))) for _ in values
+    ]
+    assert all(type(value) is float for value in values)
+    for _ in range(DRAW_BATCH - 3):  # the rest of the third block
+        scalar.normal(0.0, noise.jitter_sigma)
+    assert batched._rng.normal() == scalar.normal()
 
 
 # ---------------------------------------------------------------------------

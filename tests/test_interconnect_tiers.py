@@ -161,20 +161,56 @@ def test_shared_window_homes_follow_tier_groups():
     assert free_win.home_rank is None
 
 
+def _penalties(win, ctx):
+    """(load, atomic) penalty of ``ctx``'s port on ``win``."""
+    port = win._port(ctx)
+    return (port.load_penalty, port.atomic_penalty)
+
+
 def test_shared_window_penalties_price_the_distance():
     cluster = homogeneous(1, 8, sockets_per_node=2, numa_per_socket=2)
     world = _world(cluster, NUMA_PENALTY_COSTS)
     mpi = NUMA_PENALTY_COSTS.mpi
     win = world.create_shared_window(0, {})  # home: rank 0 (socket 0, numa 0)
     # rank 1 shares rank 0's NUMA domain: free
-    assert win._penalty_of(world.contexts[1]) == (0.0, 0.0)
+    assert _penalties(win, world.contexts[1]) == (0.0, 0.0)
     # rank 2 sits in numa 1 of socket 0: remote-NUMA penalties
-    assert win._penalty_of(world.contexts[2]) == (
+    assert _penalties(win, world.contexts[2]) == (
         mpi.remote_numa_load_penalty,
         mpi.remote_numa_atomic_penalty,
     )
     # rank 4 sits in socket 1: remote-NUMA + cross-socket
-    assert win._penalty_of(world.contexts[4]) == (
+    assert _penalties(win, world.contexts[4]) == (
+        mpi.remote_numa_load_penalty + mpi.cross_socket_penalty,
+        mpi.remote_numa_atomic_penalty + mpi.cross_socket_penalty,
+    )
+    # the port's delays price the same distance
+    port = win._port(world.contexts[4])
+    assert port.attempt.duration == mpi.shm_lock_attempt + port.atomic_penalty
+    assert port.unlock.duration == mpi.shm_unlock + port.atomic_penalty
+    assert port.access3.duration == 3 * (mpi.shm_access + port.load_penalty)
+
+
+def test_cached_port_is_repriced_after_fail_over():
+    """Re-homing drops the cached ports: the next call prices the
+    distance to the new home, not the old one."""
+    cluster = homogeneous(1, 8, sockets_per_node=2, numa_per_socket=2)
+    world = _world(cluster, NUMA_PENALTY_COSTS)
+    mpi = NUMA_PENALTY_COSTS.mpi
+    win = world.create_shared_window(0, {})  # home: rank 0 (socket 0, numa 0)
+    rank4 = world.contexts[4]  # socket 1: remote-NUMA + cross-socket
+    before = win._port(rank4)
+    assert before.atomic_penalty == (
+        mpi.remote_numa_atomic_penalty + mpi.cross_socket_penalty
+    )
+    assert win._port(rank4) is before  # resolved once
+    win.fail_over(5)  # rank 5 shares rank 4's NUMA domain
+    after = win._port(rank4)
+    assert after is not before
+    assert _penalties(win, rank4) == (0.0, 0.0)
+    assert after.attempt.duration == mpi.shm_lock_attempt
+    # and the old home is now the remote one
+    assert _penalties(win, world.contexts[0]) == (
         mpi.remote_numa_load_penalty + mpi.cross_socket_penalty,
         mpi.remote_numa_atomic_penalty + mpi.cross_socket_penalty,
     )

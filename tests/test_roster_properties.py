@@ -10,7 +10,8 @@ configured ADAPT ladder instances:
   calculators the NumPy fast path (``sequence()``, materialised once
   and memoised process-wide) must agree chunk-for-chunk with a fresh
   sequential ``_next_size`` unrolling, i.e. the dCC local-resolution
-  arrays and the step-by-step protocol describe the same schedule;
+  arrays and the step-by-step protocol describe the same schedule, and
+  the native-int ``size_at``/``start_at`` reads equal those arrays;
 * random depth-1..4 stacks — arbitrary ``+``-joined rosters driven
   through ``run_hierarchical`` still produce a verified schedule.
 """
@@ -90,6 +91,17 @@ def test_memoised_array_matches_sequential_unroll(name, n, p):
         ref.append(size)
         total += size
     assert fast == ref
+    # the per-step reads (native-int list copies of the memoised arrays,
+    # or the fixed-size closed forms) walk the same schedule, one past
+    # the end included
+    calc = make(name, n, p)
+    starts = np.concatenate(([0], np.cumsum(ref, dtype=np.int64))).tolist()
+    assert [calc.size_at(step) for step in range(len(ref) + 1)] == ref + [0]
+    assert [calc.start_at(step) for step in range(len(ref) + 1)] == starts
+    assert all(type(calc.size_at(step)) is int for step in range(len(ref)))
+    if calc._sizes_arr is not None:
+        assert calc._sizes == calc._sizes_arr.tolist()
+        assert calc._starts == calc._prefix_arr.tolist()
 
 
 @pytest.mark.parametrize("spelling", LADDERS)

@@ -5,9 +5,9 @@ import pytest
 from repro.cluster.costs import CostModel, MpiCosts
 from repro.cluster.machine import homogeneous
 from repro.sim import Compute, ProcessFailure, Simulator, Timeout
-from repro.sim.engine import drain
+from repro.sim.engine import DRAW_BATCH, BatchedDraws, drain
 from repro.smpi import MpiWorld
-from repro.smpi.shm import _JITTER_BATCH, _JitterBuffer
+from repro.smpi.shm import _poll_jitters
 
 
 def make_world(n_nodes=1, cores=4, ppn=4, seed=0, costs=None):
@@ -112,6 +112,22 @@ def test_unlock_requires_ownership():
 
     with pytest.raises(ProcessFailure, match="data race"):
         world.run(main)
+
+
+def test_require_held_raises_both_errors():
+    """The ownership check that gates access/unlock through the rank's
+    port still tells an unheld lock from one held by another rank."""
+    world = make_world()
+    shm = world.create_shared_window(0, {"c": 0})
+    rank0, rank1 = world.contexts[0], world.contexts[1]
+    with pytest.raises(RuntimeError, match="without holding MPI_Win_lock"):
+        shm._require_held(rank0)
+    assert shm._lock.try_acquire(rank0.owner)
+    assert shm._require_held(rank0) is shm._port(rank0)
+    with pytest.raises(RuntimeError, match="by rank1 while rank0 holds"):
+        shm._require_held(rank1)
+    with pytest.raises(RuntimeError, match="by rank1 while rank0 holds"):
+        next(shm.access(rank1, n=3))
 
 
 def test_contention_inflates_poll_wait_and_attempts():
@@ -444,10 +460,10 @@ def test_drain_names_a_window_never_released_and_its_parked_ranks():
 def test_batched_jitter_equals_sequential_scalar_draws():
     """Block draws are bit-identical to one-at-a-time draws and leave
     the generator in the same state (across a block boundary)."""
-    batched = _JitterBuffer(Simulator(seed=9).rng("s"))
+    batched = BatchedDraws(Simulator(seed=9).rng("s"), _poll_jitters)
     scalar = Simulator(seed=9).rng("s")
     values = batched._refill() + batched._refill()
-    assert len(values) == 2 * _JITTER_BATCH
+    assert len(values) == 2 * DRAW_BATCH
     assert values == [float(scalar.uniform(0.5, 1.5)) for _ in values]
     assert batched._rng.uniform(0.5, 1.5) == scalar.uniform(0.5, 1.5)
 

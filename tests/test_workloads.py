@@ -1,5 +1,10 @@
 """Tests for the workload layer (base, Mandelbrot, PSIA, synthetic, traces)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,46 @@ from repro.workloads import (
 )
 from repro.workloads.mandelbrot import escape_counts, render_ascii
 from repro.workloads.psia import neighbourhood_sizes, spin_image, synthetic_object
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: imports the package with every ``scipy`` import failing (a numpy-only
+#: install), then simulates one tiny Mandelbrot cell
+_NO_SCIPY_SCRIPT = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(name + " is not installed")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+import repro, repro.api, repro.workloads, repro.cli
+from repro import minihpc, run_hierarchical
+from repro.workloads import mandelbrot_workload
+
+result = run_hierarchical(
+    mandelbrot_workload(width=16, height=16, max_iter=64), minihpc(2, 4),
+    inter="GSS", intra="SS", approach="mpi+mpi", ppn=4,
+)
+assert result.parallel_time > 0
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+print("ok")
+"""
+
+
+def test_package_imports_and_runs_without_scipy():
+    """scipy is needed only by PSIA's k-d tree: everything else imports
+    and simulates on numpy alone."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------------
